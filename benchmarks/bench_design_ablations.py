@@ -69,7 +69,6 @@ def test_threshold_sensitivity(benchmark):
         num_build_threads=2,
         db_size=512,
         flush_threshold=1,
-        num_query_threads=2,
         l_max=4,
     )
     index = HerculesIndex.build(indexable, config)
@@ -142,7 +141,6 @@ def test_split_policy_ablation(benchmark):
                 num_build_threads=2,
                 db_size=512,
                 flush_threshold=1,
-                num_query_threads=1,
                 l_max=3,
                 **flags,
             )
@@ -191,7 +189,6 @@ def test_l_max_sensitivity(benchmark):
         num_build_threads=2,
         db_size=512,
         flush_threshold=1,
-        num_query_threads=2,
     )
     index = HerculesIndex.build(indexable, config)
     queries = query_sets["5%"].queries

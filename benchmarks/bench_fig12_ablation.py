@@ -10,7 +10,9 @@ construction.
 Paper, 12b (query answering): removing the iSAX filter (NoSAX), the
 query parallelism (NoPara), or the adaptive thresholds (NoThresh) never
 helps and hurts on its target regime — NoSAX always, NoPara on easy and
-medium queries, NoThresh on hard (ood) ones.
+medium queries, NoThresh on hard (ood) ones.  NoPara is not reproduced:
+this query engine is single-threaded, its parallelism lives in the batch
+dimension of the kernels.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ def _hercules_config(num_series: int) -> HerculesConfig:
         num_build_threads=4,
         db_size=512,
         flush_threshold=1,
-        num_query_threads=4,
         l_max=4,
     )
 

@@ -61,11 +61,10 @@ def hard_queries(data):
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("bench-query") / "hercules"
-    # One query thread keeps the set of leaves each query reads
-    # deterministic (with racing CRWorkers the evolving BSF can admit a
-    # leaf in one run that was pruned in another), which is what lets
-    # the warm-cache pass assert *zero* LRD reads.
-    config = hercules_config(data.shape[0], num_query_threads=1)
+    # The single-threaded engine reads the same leaves for a query on
+    # every run, which is what lets the warm-cache pass assert *zero*
+    # LRD reads.
+    config = hercules_config(data.shape[0])
     HerculesIndex.build(data, config, directory=directory).close()
     return directory
 

@@ -31,7 +31,6 @@ def main() -> None:
         num_build_threads=4,
         db_size=1024,
         flush_threshold=1,
-        num_query_threads=2,
         l_max=4,
     )
     index = HerculesIndex.build(data, config)

@@ -195,7 +195,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         num_build_threads=args.threads,
         flush_threshold=max((args.threads - 1) // 2, 1),
         num_write_threads=max(args.threads // 2, 1),
-        num_query_threads=args.threads,
         l_max=args.l_max,
         batched_inserts=not args.per_row,
         claim_size=args.claim_size,

@@ -24,18 +24,15 @@ expensive touch is amortized across the queries that need it:
   once per batch regardless of cache configuration.
 
 **Parity.**  Queries are independent search problems: each keeps its own
-:class:`~repro.core.results.ResultSet`, BSF², and profile, and the
-engine only re-orders *when* each query's work runs, never the per-query
-order itself (leaves are processed in file-position order, exactly as
-the serial pipeline does).  For exact search (ε = 0) answers are
-order-independent, and the shared matrix kernel re-evaluates survivors
-with the same whole-row arithmetic as the single-query kernel — batch
-answers are value-identical to serial ones.  For ε-approximate search,
-where pruning decisions depend on the BSF at each check, the engine
-falls back to a per-query refinement that replicates the serial check
-cadence operation-for-operation (the leaf reads still flow through the
-shared store, so the I/O sharing survives); answers again match the
-single-query path bit for bit.
+:class:`~repro.core.results.ResultSet`, BSF², and profile, and every
+pruning check compares an ε-scaled lower bound with that query's own
+live BSF².  Leaves are processed in file-position order, so a query's
+sequence of checks and updates is the same whichever other queries
+share its batch — a single :meth:`~repro.core.index.HerculesIndex.knn`
+call is simply a batch of one.  The shared matrix kernel re-evaluates
+survivors with the same whole-row arithmetic as the single-query
+kernel, so answers are value-identical across batch compositions, for
+exact and ε-approximate search alike.
 """
 
 from __future__ import annotations
@@ -50,8 +47,8 @@ from repro import obs
 from repro.core.config import HerculesConfig
 from repro.core.node import Node
 from repro.core.query import (
-    _REFINE_BATCH,
     QueryAnswer,
+    QueryProfile,
     _approx_knn,
     _find_candidate_leaves,
     _SearchState,
@@ -143,31 +140,33 @@ class _BlockStore:
         self._lrd = lrd
         self._blocks: dict = {}
         self.loads = 0
-        self.shared_hits = 0
         #: Per-query block touches served (every :meth:`leaf_block`
         #: call, plus the extra users of one multi-query kernel pass
         #: via :meth:`count_shared_uses`) — the numerator of the batch
         #: leaf-share factor.
         self.uses = 0
 
-    def leaf_block(self, leaf: Node) -> np.ndarray:
+    def leaf_block(self, leaf: Node, profile: QueryProfile) -> np.ndarray:
+        """The leaf's rows; a load credits its LeafCache lookups to
+        ``profile``, the query that triggered it."""
         key = (leaf.file_position, leaf.size)
         self.uses += 1
         block = self._blocks.get(key)
         if block is None:
+            cache = self._lrd.cache
+            before = cache.snapshot() if cache is not None else None
             block = self._lrd.read_range(leaf.file_position, leaf.size)
+            if before is not None:
+                delta = cache.snapshot() - before
+                profile.cache_hits += delta.hits
+                profile.cache_misses += delta.misses
             self._blocks[key] = block
             self.loads += 1
-        else:
-            self.shared_hits += 1
         return block
 
     def count_shared_uses(self, extra: int) -> None:
         """Credit ``extra`` additional queries served by the last read."""
         self.uses += extra
-
-    def resident(self, leaf: Node) -> bool:
-        return (leaf.file_position, leaf.size) in self._blocks
 
 
 class _BatchSearchState(_SearchState):
@@ -176,34 +175,15 @@ class _BatchSearchState(_SearchState):
     def __init__(self, store: _BlockStore, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._store = store
-        # The per-query cache delta is meaningless when Q interleaved
-        # queries share one cache; per-query sharing is counted on the
-        # store instead and written into the profile at the end.
-        self._cache_before = None
-        self.store_hits = 0
-        self.store_misses = 0
 
     def read_leaf(self, leaf: Node) -> np.ndarray:
         self.profile.series_accessed += leaf.size
-        return self._leaf_block(leaf)
-
-    def leaf_rows(self, leaf: Node, rows: np.ndarray) -> np.ndarray:
-        """Rows of one leaf block (accounting left to the caller)."""
-        return self._leaf_block(leaf)[rows]
-
-    def _leaf_block(self, leaf: Node) -> np.ndarray:
-        before = self._store.loads
-        block = self._store.leaf_block(leaf)
-        if self._store.loads == before:
-            self.store_hits += 1
-        else:
-            self.store_misses += 1
-        return block
+        return self._store.leaf_block(leaf, self.profile)
 
 
 @dataclass
 class _RefineSpec:
-    """One query's refinement work, in serial (file-position) order."""
+    """One query's refinement work, in file-position order."""
 
     #: "leaves" — scan whole leaves with a live-BSF re-check (the
     #: skip-sequential and NoSAX paths); "series" — refine per-leaf
@@ -223,12 +203,10 @@ def _plan_refinement(
     num_leaves: int,
     num_series: int,
 ) -> _RefineSpec:
-    """The serial pipeline's access-path decision, emitted as a plan.
+    """One query's access-path decision, emitted as a plan.
 
-    Mirrors :func:`repro.core.query.exact_knn` exactly: the same path is
-    chosen from the same pre-screen pruning ratios, and phase 3 produces
-    the same candidate rows in the same (file-position) order the
-    single-threaded serial pass would.
+    The path is chosen from the query's pre-screen pruning ratios, and
+    phase 3 produces its candidate rows in file-position order.
     """
     spec = _RefineSpec()
     state.profile.candidate_leaves = len(lclist)
@@ -249,8 +227,8 @@ def _plan_refinement(
         spec.leaves = list(lclist)
         return spec
 
-    # Phase 3 (FindCandidateSeries), canonical single-thread order:
-    # BSF² is fixed for the whole pass, leaves visited in file order.
+    # Phase 3 (FindCandidateSeries): BSF² is fixed for the whole pass,
+    # leaves visited in file order.
     bsf_squared = state.results.bsf_squared
     length = state.query.shape[0]
     series: list = []
@@ -291,15 +269,15 @@ def _refine_shared(
     store: _BlockStore,
     stats: BatchStats,
 ) -> None:
-    """Exact-search refinement over the leaf→{query set} plan.
+    """Refinement over the leaf→{query set} plan.
 
-    Leaves are visited once each, in file-position order; all queries
-    needing a leaf are refined from one block with a single multi-query
-    kernel call under per-query live BSF² cutoffs.  Sound for exact
-    search: a per-candidate live re-check can only *skip more* than the
-    serial per-chunk re-check, and any skipped candidate has
-    LB ≥ BSF ≥ its final value, so it could never have entered a result
-    set.
+    Leaves are visited once each, in file-position order.  Each query
+    needing a leaf re-checks its lower bounds against its own live BSF²
+    (ε-scaled, so the skip is sound for exact and ε-approximate search
+    alike); the survivors are refined from one block under per-query
+    live BSF² cutoffs.  A leaf with one active query runs the
+    early-abandoning single-query kernel; two or more share one
+    multi-query kernel call.
     """
     tasks: dict = {}
     for qi, spec in enumerate(specs):
@@ -321,7 +299,7 @@ def _refine_shared(
             state = states[qi]
             bsf_squared = state.results.bsf_squared
             if rows is None:
-                # Whole-leaf user: the serial skip-sequential re-check.
+                # Whole-leaf user: the skip-sequential re-check.
                 if state.scaled_squared(bound) >= bsf_squared:
                     continue
                 active.append((qi, None))
@@ -333,126 +311,61 @@ def _refine_shared(
         if not active:
             continue
 
-        was_resident = store.resident(leaf)
-        block = store.leaf_block(leaf)
+        block = store.leaf_block(leaf, states[active[0][0]].profile)
         store.count_shared_uses(len(active) - 1)
         length = block.shape[1]
-        queries = np.stack([states[qi].query for qi, _rows in active])
-        cutoffs = np.array(
-            [states[qi].results.bsf_squared for qi, _rows in active],
-            dtype=DISTANCE_DTYPE,
-        )
-        row_masks = np.zeros((len(active), leaf.size), dtype=bool)
-        for i, (_qi, rows) in enumerate(active):
-            if rows is None:
-                row_masks[i] = True
-            else:
-                row_masks[i, rows] = True
-        distances, points = early_abandon_squared_multi(
-            queries, block, cutoffs, row_masks=row_masks
-        )
+        if len(active) == 1:
+            # The single-query kernel abandons rows block by block; the
+            # multi-query matmul screen has no abandoning savings.
+            qi, rows = active[0]
+            state = states[qi]
+            squared, compared = early_abandon_squared(
+                state.query,
+                block if rows is None else block[rows],
+                state.results.bsf_squared,
+            )
+            outcomes = [(qi, rows, squared, compared)]
+        else:
+            queries = np.stack([states[qi].query for qi, _rows in active])
+            cutoffs = np.array(
+                [states[qi].results.bsf_squared for qi, _rows in active],
+                dtype=DISTANCE_DTYPE,
+            )
+            row_masks = np.zeros((len(active), leaf.size), dtype=bool)
+            for i, (_qi, rows) in enumerate(active):
+                if rows is None:
+                    row_masks[i] = True
+                else:
+                    row_masks[i, rows] = True
+            distances, points = early_abandon_squared_multi(
+                queries, block, cutoffs, row_masks=row_masks
+            )
+            outcomes = [
+                (
+                    qi,
+                    rows,
+                    distances[i] if rows is None else distances[i, rows],
+                    int(points[i]),
+                )
+                for i, (qi, rows) in enumerate(active)
+            ]
 
-        for i, (qi, rows) in enumerate(active):
+        for qi, rows, row_distances, compared in outcomes:
             state = states[qi]
             if rows is None:
                 row_count = leaf.size
                 positions = leaf.file_position + np.arange(
                     leaf.size, dtype=np.int64
                 )
-                row_distances = distances[i]
             else:
                 row_count = rows.shape[0]
                 positions = leaf.file_position + rows.astype(np.int64)
-                row_distances = distances[i, rows]
             state.results.update_batch_squared(row_distances, positions)
             state.profile.series_accessed += row_count
             state.profile.distance_computations += row_count
-            state.profile.points_compared += int(points[i])
+            state.profile.points_compared += compared
             state.profile.points_total += row_count * length
-            if i == 0 and not was_resident:
-                state.store_misses += 1
-            else:
-                state.store_hits += 1
             stats.kernel_rows += row_count
-
-
-def _refine_serial_cadence(
-    state: _BatchSearchState, spec: _RefineSpec, store: _BlockStore,
-    stats: BatchStats,
-) -> None:
-    """ε-approximate refinement: the serial pipeline, operation for
-    operation, with reads served from the shared store.
-
-    With ε > 0 a pruning decision depends on the BSF at the moment of
-    the check, so the batch must replicate the single-query check
-    cadence exactly — per-leaf re-checks for the leaf-scan paths,
-    :data:`_REFINE_BATCH`-chunked re-checks for the four-phase path —
-    to keep answers bit-identical.  Leaf sharing survives through the
-    store: the first query touching a leaf loads it, the rest hit.
-    """
-    length = state.query.shape[0]
-    if spec.kind == "leaves":
-        for leaf, bound in spec.leaves:
-            if state.scaled_squared(bound) >= state.results.bsf_squared:
-                continue
-            # scan_leaf is the serial per-leaf refinement verbatim; its
-            # read flows through the overridden read_leaf → the store.
-            state.scan_leaf(leaf)
-            stats.kernel_rows += leaf.size
-        return
-    if spec.kind != "series":
-        return
-
-    # Flatten to the serial pipeline's concatenated candidate arrays.
-    leaf_index: list = []
-    row_arrays: list = []
-    bound_arrays: list = []
-    for leaf, rows, bounds_sq in spec.series:
-        leaf_index.extend([leaf] * rows.shape[0])
-        row_arrays.append(rows)
-        bound_arrays.append(bounds_sq)
-    if not row_arrays:
-        return
-    rows_flat = np.concatenate(row_arrays)
-    bounds_flat = np.concatenate(bound_arrays)
-    for start in range(0, rows_flat.shape[0], _REFINE_BATCH):
-        chunk_rows = rows_flat[start : start + _REFINE_BATCH]
-        chunk_lb_sq = bounds_flat[start : start + _REFINE_BATCH]
-        chunk_leaves = leaf_index[start : start + _REFINE_BATCH]
-        alive = chunk_lb_sq < state.results.bsf_squared
-        if not alive.any():
-            continue
-        keep = np.nonzero(alive)[0]
-        # Gather the kept rows from store-memoized blocks, grouped by
-        # leaf in order — the same values (and the same row order) the
-        # serial pipeline's coalesced read_positions would produce.
-        data_parts: list = []
-        position_parts: list = []
-        j = 0
-        kept = keep.tolist()
-        while j < len(kept):
-            leaf = chunk_leaves[kept[j]]
-            end = j
-            while end < len(kept) and chunk_leaves[kept[end]] is leaf:
-                end += 1
-            rows_in_leaf = np.array(
-                [int(chunk_rows[kept[m]]) for m in range(j, end)],
-                dtype=np.int64,
-            )
-            data_parts.append(state.leaf_rows(leaf, rows_in_leaf))
-            position_parts.append(leaf.file_position + rows_in_leaf)
-            j = end
-        data = np.concatenate(data_parts, axis=0)
-        positions = np.concatenate(position_parts)
-        squared, compared = early_abandon_squared(
-            state.query, data, state.results.bsf_squared
-        )
-        state.profile.series_accessed += keep.shape[0]
-        state.profile.distance_computations += keep.shape[0]
-        state.profile.points_compared += compared
-        state.profile.points_total += keep.shape[0] * length
-        state.results.update_batch_squared(squared, positions)
-        stats.kernel_rows += keep.shape[0]
 
 
 def exact_knn_batch(
@@ -468,20 +381,19 @@ def exact_knn_batch(
     results: Optional[List[ResultSet]] = None,
     signatures=None,
 ) -> BatchAnswer:
-    """Plan and execute a whole query set together.
+    """Plan and execute a whole query set together (Algorithm 10).
 
-    Each query's answer is value-identical to what
-    :func:`repro.core.query.exact_knn` returns for it alone.  The
-    engine runs single-threaded — the parallelism lives in the batch
-    dimension of the kernels, not in worker threads — so answers are
-    deterministic for a fixed index regardless of
-    ``config.num_query_threads``.
+    Each query's answer is value-identical to the answer it gets alone
+    (a batch of one).  The engine runs single-threaded — the
+    parallelism lives in the batch dimension of the kernels, not in
+    worker threads — so answers are deterministic for a fixed index.
 
     ``results`` optionally supplies one result set per query (shard
     coordinators pass linked sets broadcasting the per-query global
     BSF² vector).  Per-query wall-time attribution inside the shared
     phases is amortized: the screen and shared-refinement walls are
-    split evenly across the queries that took part.
+    split evenly across the queries that took part, and each profile's
+    ``time_total`` is the sum of its four phase timers.
     """
     arr = np.asarray(queries, dtype=DISTANCE_DTYPE)
     if arr.ndim != 2:
@@ -498,46 +410,54 @@ def exact_knn_batch(
         )
 
     started = time.perf_counter()
+    io_before = lrd.stats.snapshot()
     store = _BlockStore(lrd)
     states: List[_BatchSearchState] = []
     lclists: list = []
 
-    with obs.span("query.batch", queries=num_queries, k=k) as batch_span:
+    with obs.span("query", k=k, queries=num_queries) as query_span:
         # -- per-query descent (phases 1 + 2); reads memoized ------------
-        with obs.span("query.batch.descend"):
-            for qi in range(num_queries):
-                phase_started = time.perf_counter()
-                state = _BatchSearchState(
-                    store,
-                    arr[qi],
-                    k,
-                    config,
-                    lrd,
-                    lsd_words,
-                    sax_space,
-                    num_leaves,
-                    num_series,
-                    results=results[qi] if results is not None else None,
-                )
+        for qi in range(num_queries):
+            phase_started = time.perf_counter()
+            state = _BatchSearchState(
+                store,
+                arr[qi],
+                k,
+                config,
+                lrd,
+                lsd_words,
+                sax_space,
+                num_leaves,
+                num_series,
+                results=results[qi] if results is not None else None,
+            )
+            with obs.span("query.phase1.approx") as sp:
                 _approx_knn(state, root)
-                state.profile.time_approx = (
-                    time.perf_counter() - phase_started
-                )
-                phase_started = time.perf_counter()
+                sp.set("leaves_visited", state.profile.approx_leaves)
+            state.profile.time_approx = time.perf_counter() - phase_started
+            phase_started = time.perf_counter()
+            with obs.span("query.phase2.candidates") as sp:
                 lclist = _find_candidate_leaves(state)
-                state.profile.time_candidates = (
-                    time.perf_counter() - phase_started
-                )
-                state.profile.eapca_pruning = 1.0 - (
-                    len(lclist) / num_leaves if num_leaves else 0.0
-                )
-                states.append(state)
-                lclists.append(lclist)
+                sp.set("candidate_leaves", len(lclist))
+            state.profile.time_candidates = (
+                time.perf_counter() - phase_started
+            )
+            # The access path keys off the *tree's* pruning quality, so
+            # it is taken from the pre-screen LCList: the screen can only
+            # subtract work from the path, never change it.
+            state.profile.eapca_pruning = 1.0 - (
+                len(lclist) / num_leaves if num_leaves else 0.0
+            )
+            states.append(state)
+            lclists.append(lclist)
 
-        # -- phase 0: ONE whole-workload signature screen ----------------
+        # -- ONE whole-workload signature screen -------------------------
+        # Runs even when phase 2 already emptied every LCList: recording
+        # screened/survivors for every filtered query keeps the
+        # pruned-fraction metric honest.
         if signatures is not None:
             screen_started = time.perf_counter()
-            with obs.span("query.batch.screen") as sp:
+            with obs.span("query.prefilter") as sp:
                 paa_block = np.stack([s.query_paa for s in states])
                 bsf_vector = np.array(
                     [s.results.bsf_squared for s in states],
@@ -556,6 +476,7 @@ def exact_knn_batch(
                     survivors = int(np.count_nonzero(masks[qi]))
                     state.profile.prefilter_survivors = survivors
                     survivors_total += survivors
+                    # A leaf with no surviving rows is never descended.
                     lclists[qi] = [
                         (leaf, bound)
                         for leaf, bound in lclists[qi]
@@ -571,23 +492,22 @@ def exact_knn_batch(
 
         # -- access-path planning (phase 3 where the path needs it) ------
         refine_started = time.perf_counter()
-        specs = [
-            _plan_refinement(
-                states[qi], lclists[qi], config, num_leaves, num_series
+        with obs.span("query.phase3.filter") as sp:
+            specs = [
+                _plan_refinement(
+                    states[qi], lclists[qi], config, num_leaves, num_series
+                )
+                for qi in range(num_queries)
+            ]
+            sp.set(
+                "candidate_series",
+                sum(state.profile.candidate_series for state in states),
             )
-            for qi in range(num_queries)
-        ]
 
-        # -- shared-leaf refinement --------------------------------------
+        # -- shared-leaf refinement (phase 4) ----------------------------
         loads_before = store.loads
-        with obs.span("query.batch.refine") as sp:
-            if states[0].prune_factor == 1.0:
-                _refine_shared(states, specs, store, stats)
-            else:
-                for qi in range(num_queries):
-                    _refine_serial_cadence(
-                        states[qi], specs[qi], store, stats
-                    )
+        with obs.span("query.phase4.refine") as sp:
+            _refine_shared(states, specs, store, stats)
             sp.set_attrs(
                 unique_leaf_reads=store.loads - loads_before,
                 leaf_uses=store.uses,
@@ -603,23 +523,27 @@ def exact_knn_batch(
         screen_share = stats.screen_seconds / num_queries
         for state in states:
             distances, positions = state.results.items()
+            state.profile.time_screen = screen_share
             state.profile.time_refine = refine_share
             state.profile.time_total = (
                 state.profile.time_approx
                 + state.profile.time_candidates
-                + screen_share
-                + refine_share
+                + state.profile.time_screen
+                + state.profile.time_refine
             )
-            state.profile.cache_hits = state.store_hits
-            state.profile.cache_misses = state.store_misses
             obs.observe_search(state.profile.time_total)
             answers.append(
                 QueryAnswer(distances, positions, state.profile)
             )
-        batch_span.set_attrs(
+        io = lrd.stats.snapshot() - io_before
+        query_span.set_attrs(
+            path=",".join(sorted({state.profile.path for state in states})),
             unique_leaf_reads=stats.unique_leaf_reads,
             leaf_uses=stats.leaf_uses,
             leaf_share_factor=stats.leaf_share_factor,
             kernel_rows=stats.kernel_rows,
+            random_seeks=io.random_seeks,
+            sequential_reads=io.sequential_reads,
+            bytes_read=io.bytes_read,
         )
     return BatchAnswer(answers, stats)

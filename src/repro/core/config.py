@@ -3,7 +3,8 @@
 Defaults follow Section 4.2 ("Parameterization") scaled from the paper's
 100M-series datasets down to laptop scale: the paper uses a leaf size of
 100K series, a DBSize of 120K, 24 build threads with a flush threshold of
-12, 12 write threads, and — during query answering — 24 threads,
+12, 12 write threads, and — during query answering — 24 threads (here
+query parallelism lives in the batch dimension of the kernels instead),
 ``L_max = 80``, ``EAPCA_TH = 0.25`` and ``SAX_TH = 0.50``.  The two query
 thresholds and ``L_max`` are kept at the paper's values (they are ratios,
 not sizes); the capacity-like knobs default to values that produce trees
@@ -23,11 +24,10 @@ class HerculesConfig:
     """All tunables of index construction and query answering.
 
     Ablation switches (Figure 12) are part of the configuration so the
-    NoSAX / NoPara / NoWPara / NoThresh variants are first-class:
+    NoSAX / NoWPara / NoThresh variants are first-class:
 
     * ``parallel_writing=False`` → NoWPara,
     * ``use_sax=False`` → NoSAX,
-    * ``num_query_threads=1`` → NoPara,
     * ``adaptive_thresholds=False`` → NoThresh.
     """
 
@@ -127,7 +127,6 @@ class HerculesConfig:
     #: SAX pruning-ratio threshold below which a skip-sequential scan of
     #: LRDFile replaces phase 4 (paper default 0.50).
     sax_th: float = 0.50
-    num_query_threads: int = 4
     #: NoSAX ablation: prune with LB_EAPCA only when False.
     use_sax: bool = True
     #: NoThresh ablation: when False, phases 3-4 always run.
@@ -147,8 +146,6 @@ class HerculesConfig:
     #: Per-segment cardinality of the signatures, in bits.  More bits
     #: prune harder but cost ``segments·bits/8`` bytes of RAM per series.
     prefilter_bits: int = 4
-    #: Run the cheap Hamming pre-screen before the exact table gather.
-    prefilter_hamming: bool = True
 
     def __post_init__(self) -> None:
         if self.leaf_capacity < 2:
@@ -192,10 +189,6 @@ class HerculesConfig:
         for name, value in (("eapca_th", self.eapca_th), ("sax_th", self.sax_th)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.num_query_threads < 1:
-            raise ConfigError(
-                f"num_query_threads must be >= 1, got {self.num_query_threads}"
-            )
         if self.epsilon < 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 1 <= self.prefilter_bits <= 8:

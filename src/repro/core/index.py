@@ -40,12 +40,7 @@ from repro.core.prefilter import (
     SIGNATURES_FORMAT_VERSION,
     SignatureArray,
 )
-from repro.core.query import (
-    QueryAnswer,
-    approximate_knn,
-    exact_knn,
-    progressive_knn,
-)
+from repro.core.query import QueryAnswer, approximate_knn, progressive_knn
 from repro.core.writing import (
     HTREE_FILENAME,
     LRD_FILENAME,
@@ -65,11 +60,15 @@ from repro.storage.dataset import Dataset
 from repro.storage.files import SeriesFile, SymbolFile
 from repro.storage.iostats import IOSnapshot, IOStats
 from repro.summarization.sax import SaxSpace
+from repro.types import as_series
 
 logger = logging.getLogger(__name__)
 
 _SPILL_FILENAME = "spill.bin"
 _SETTINGS_KEY_CONFIG = "config"
+#: Config fields of earlier releases that no longer exist; index
+#: directories built by those releases still store them.
+_RETIRED_CONFIG_KEYS = ("num_query_threads", "prefilter_hamming")
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,10 @@ class HerculesIndex:
         if not htree_path.exists():
             raise StorageError(f"no HTree file at {htree_path}")
         root, settings = htree.load_tree(htree_path)
-        config = HerculesConfig(**settings[_SETTINGS_KEY_CONFIG])
+        stored = dict(settings[_SETTINGS_KEY_CONFIG])
+        for key in _RETIRED_CONFIG_KEYS:
+            stored.pop(key, None)
+        config = HerculesConfig(**stored)
         sax_space = SaxSpace(config.sax_segments, config.sax_alphabet)
         query_stats = IOStats()
         lrd = SeriesFile(
@@ -364,29 +366,24 @@ class HerculesIndex:
         config: Optional[HerculesConfig] = None,
         results=None,
     ) -> QueryAnswer:
-        """Exact k-NN search (Algorithm 10).
+        """Exact k-NN search (Algorithm 10): a batch of one.
 
-        ``config`` overrides query-time settings (threads, thresholds,
+        ``config`` overrides query-time settings (thresholds, ε,
         ablation switches) without rebuilding the index.  ``results``
         optionally supplies the :class:`~repro.core.results.ResultSet`
         searched into — the shard scatter-gather coordinator passes a
         linked set so this index prunes against the global BSF².
         """
-        self._check_open()
-        effective = config if config is not None else self.config
-        return exact_knn(
-            query,
+        query = as_series(query)
+        io_before = self._lrd.stats.snapshot()
+        answer = self.knn_batch(
+            query[None, :],
             k,
-            effective,
-            self.root,
-            self._lrd,
-            self._lsd_words,
-            self.sax_space,
-            num_leaves=len(self._leaves),
-            num_series=self.num_series,
-            results=results,
-            signatures=self._signatures if effective.prefilter else None,
-        )
+            config=config,
+            results=[results] if results is not None else None,
+        )[0]
+        answer.profile.io = self._lrd.stats.snapshot() - io_before
+        return answer
 
     def knn_batch(
         self,
@@ -402,7 +399,7 @@ class HerculesIndex:
         plan reading every surviving leaf once, and multi-query matrix
         kernels sharing each leaf's rows across the queries that need
         it.  Per-query answers are value-identical to calling
-        :meth:`knn` once per query; the returned
+        :meth:`knn` (a batch of one) once per query; the returned
         :class:`~repro.core.batch_query.BatchAnswer` iterates like the
         per-query answer list and carries batch-level
         :class:`~repro.core.batch_query.BatchStats` (leaf-share factor,

@@ -1,6 +1,6 @@
-"""Exact k-NN query answering (Section 3.4, Algorithms 10-14, Figure 5).
+"""k-NN query answering (Section 3.4, Algorithms 10-14, Figure 5).
 
-The four phases:
+The four phases of Exact-kNN:
 
 1. **Approx-kNN** (Algorithm 11) — a best-first descent of the tree by
    LB_EAPCA visiting at most ``L_max`` leaves, computing real distances in
@@ -8,18 +8,24 @@ The four phases:
 2. **FindCandidateLeaves** (Algorithm 12) — resume the same priority
    queue without touching disk, collecting the leaves that survive
    LB_EAPCA pruning into LCList, sorted by LRDFile position.
-3. **FindCandidateSeries** (Algorithm 13) — multi-threaded LB_SAX pass
-   over the in-memory iSAX words of the candidate leaves, producing
-   per-thread candidate series lists (SCList).
-4. **ComputeResults** (Algorithm 14) — multi-threaded refinement: load
-   surviving series from LRDFile and compute real distances.
+3. **FindCandidateSeries** (Algorithm 13) — an LB_SAX pass over the
+   in-memory iSAX words of the candidate leaves, producing the candidate
+   series list (SCList).
+4. **ComputeResults** (Algorithm 14) — refinement: load surviving series
+   from LRDFile and compute real distances.
 
 Adaptive access-path selection: when EAPCA pruning is weak
-(``eapca_pr < EAPCA_TH``) phases 3-4 are replaced by a single-thread
-skip-sequential scan of LRDFile over LCList, and when SAX pruning is weak
+(``eapca_pr < EAPCA_TH``) phases 3-4 are replaced by a skip-sequential
+scan of LRDFile over LCList, and when SAX pruning is weak
 (``sax_pr < SAX_TH``) phase 4 is.  A skip-sequential scan pays one random
 seek per surviving *leaf* (contiguous in LRDFile) instead of one per
 surviving *series*, which is exactly why it wins on hard queries.
+
+This module holds the per-query state and phases 1-2, shared by every
+mode; exact search runs phases 3-4 in
+:func:`repro.core.batch_query.exact_knn_batch`, where a single query is a
+batch of one.  The paper runs phases 3-4 on worker threads; here the
+parallelism lives in the batch dimension of the NumPy kernels instead.
 
 Distance kernels operate on whole leaf matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -100,9 +105,11 @@ class QueryProfile:
     #: Wall-clock seconds.
     time_total: float = 0.0
     #: Per-phase breakdown (approximate search; candidate-leaf collection;
-    #: the third/fourth phases or the skip-sequential fallback).
+    #: the signature screen; the third/fourth phases or the skip-sequential
+    #: fallback).  Exact search sets ``time_total`` to their sum.
     time_approx: float = 0.0
     time_candidates: float = 0.0
+    time_screen: float = 0.0
     time_refine: float = 0.0
     #: I/O performed by this query (filled by harnesses that wrap knn
     #: calls with IOStats snapshots; None when the data lives in memory).
@@ -278,147 +285,6 @@ class _SearchState:
             self.profile.cache_misses = delta.misses
 
 
-def exact_knn(
-    query: np.ndarray,
-    k: int,
-    config: HerculesConfig,
-    root: Node,
-    lrd: SeriesFile,
-    lsd_words: np.ndarray,
-    sax_space: SaxSpace,
-    num_leaves: int,
-    num_series: int,
-    results: Optional[ResultSet] = None,
-    signatures=None,
-) -> QueryAnswer:
-    """Algorithm 10: Exact-kNN.
-
-    ``results`` optionally supplies the result set to search into —
-    shard coordinators pass a linked set whose ``bsf_squared`` reflects
-    the global best-so-far, tightening every pruning site here without
-    any other change to the pipeline.
-
-    ``signatures`` optionally supplies the in-RAM
-    :class:`~repro.core.prefilter.SignatureArray`: after phase 1 has
-    established a finite BSF, one vectorized whole-array LB_SAX screen
-    prunes rows whose ε-scaled bound cannot beat it, dropping leaves
-    with no surviving rows from LCList and intersecting phase 3's
-    per-leaf masks.  Screening with a valid lower bound never changes
-    exact answers — they stay bit-for-bit identical to the unfiltered
-    pipeline.
-    """
-    started = time.perf_counter()
-    io_before = lrd.stats.snapshot()
-    state = _SearchState(
-        query, k, config, lrd, lsd_words, sax_space, num_leaves, num_series,
-        results=results,
-    )
-
-    with obs.span("query", k=k) as query_span:
-        with obs.span("query.phase1.approx") as sp:
-            _approx_knn(state, root)
-            sp.set("leaves_visited", state.profile.approx_leaves)
-        state.profile.time_approx = time.perf_counter() - started
-
-        phase2_started = time.perf_counter()
-        with obs.span("query.phase2.candidates") as sp:
-            lclist = _find_candidate_leaves(state)
-            sp.set("candidate_leaves", len(lclist))
-        state.profile.time_candidates = time.perf_counter() - phase2_started
-
-        # The adaptive path decision below keys off the *tree's* pruning
-        # quality, so it is taken from the pre-screen LCList: both the
-        # filtered and unfiltered pipeline choose the same refine path,
-        # and the screen can only subtract work from it.
-        eapca_pr = 1.0 - (len(lclist) / num_leaves if num_leaves else 0.0)
-        state.profile.eapca_pruning = eapca_pr
-
-        # Runs even when phase 2 already emptied LCList: the pass is one
-        # cheap vectorized sweep, and recording screened/survivors for
-        # every filtered query keeps the pruned-fraction metric honest.
-        if signatures is not None:
-            with obs.span("query.prefilter") as sp:
-                state.sig_mask = signatures.screen(
-                    state.query_paa,
-                    state.results.bsf_squared,
-                    state.query.shape[0],
-                    prune_factor=state.prune_factor,
-                    hamming=config.prefilter_hamming,
-                )
-                state.profile.prefilter_screened = signatures.num_series
-                state.profile.prefilter_survivors = int(
-                    np.count_nonzero(state.sig_mask)
-                )
-                # A leaf with no surviving rows is never descended.
-                lclist = [
-                    (leaf, bound)
-                    for leaf, bound in lclist
-                    if state.sig_mask[
-                        leaf.file_position : leaf.file_position + leaf.size
-                    ].any()
-                ]
-                sp.set_attrs(
-                    screened=state.profile.prefilter_screened,
-                    survivors=state.profile.prefilter_survivors,
-                    surviving_leaves=len(lclist),
-                )
-
-        state.profile.candidate_leaves = len(lclist)
-
-        refine_started = time.perf_counter()
-        if not lclist:
-            state.profile.path = "approx-only"
-        elif config.adaptive_thresholds and eapca_pr < config.eapca_th:
-            with obs.span("query.refine.skipseq", reason="eapca"):
-                _skip_sequential(state, lclist)
-            state.profile.path = "eapca-skipseq"
-        elif not config.use_sax:
-            with obs.span("query.phase4.refine", mode="leaves"):
-                _compute_results_from_leaves(state, lclist)
-            state.profile.path = "nosax-leaves"
-        else:
-            with obs.span("query.phase3.filter") as sp:
-                sclists = _find_candidate_series(state, lclist)
-                total_candidates = sum(len(chunk[0]) for chunk in sclists)
-                sp.set("candidate_series", total_candidates)
-            sax_pr = 1.0 - (
-                total_candidates / num_series if num_series else 0.0
-            )
-            state.profile.candidate_series = total_candidates
-            state.profile.sax_pruning = sax_pr
-            if config.adaptive_thresholds and sax_pr < config.sax_th:
-                with obs.span("query.refine.skipseq", reason="sax"):
-                    _skip_sequential(state, lclist)
-                state.profile.path = "sax-skipseq"
-            else:
-                with obs.span("query.phase4.refine", mode="series"):
-                    _compute_results(state, sclists)
-                state.profile.path = "full-four-phase"
-
-        state.profile.time_refine = time.perf_counter() - refine_started
-        distances, positions = state.results.items()
-        state.profile.time_total = time.perf_counter() - started
-        state.profile.io = lrd.stats.snapshot() - io_before
-        state.finish_profile()
-        obs.observe_search(state.profile.time_total)
-        io = state.profile.io
-        query_span.set_attrs(
-            path=state.profile.path,
-            eapca_pruning=state.profile.eapca_pruning,
-            sax_pruning=state.profile.sax_pruning,
-            series_accessed=state.profile.series_accessed,
-            distance_computations=state.profile.distance_computations,
-            points_compared=state.profile.points_compared,
-            abandoned_fraction=state.profile.abandoned_fraction,
-            cache_hits=state.profile.cache_hits,
-            cache_misses=state.profile.cache_misses,
-            random_seeks=io.random_seeks,
-            sequential_reads=io.sequential_reads,
-            bytes_read=io.bytes_read,
-        )
-    return QueryAnswer(distances, positions, state.profile)
-
-
 def approximate_knn(
     query: np.ndarray,
     k: int,
@@ -437,7 +303,8 @@ def approximate_knn(
     to: the best-first descent visits at most ``L_max`` leaves and the
     best-so-far answers become the result.  Answers are not guaranteed
     exact; recall grows with ``L_max`` (measured in the benchmark suite).
-    ``results`` plays the same role as in :func:`exact_knn`.
+    ``results`` optionally supplies the result set searched into — shard
+    coordinators pass a linked set sharing the global BSF².
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
@@ -579,240 +446,3 @@ def _find_candidate_leaves(state: _SearchState) -> list[tuple[Node, float]]:
                     state.push(child, child_bound)
     lclist.sort(key=lambda pair: pair[0].file_position)
     return lclist
-
-
-# ---------------------------------------------------------------------------
-# Skip-sequential scan over LRDFile (the adaptive fallback)
-# ---------------------------------------------------------------------------
-
-
-def _skip_sequential(
-    state: _SearchState, lclist: list[tuple[Node, float]]
-) -> None:
-    """Single-thread scan of candidate leaves in file order.
-
-    Leaves are visited in increasing LRDFile position (sequential-friendly)
-    and re-checked against the *current* BSF before each read, so the scan
-    tightens as it progresses.
-    """
-    for leaf, bound in lclist:
-        if state.scaled_squared(bound) >= state.results.bsf_squared:
-            continue
-        state.scan_leaf(leaf)
-
-
-# ---------------------------------------------------------------------------
-# Phase 3: Algorithm 13 (FindCandidateSeries / CSWorker)
-# ---------------------------------------------------------------------------
-
-
-def _find_candidate_series(
-    state: _SearchState, lclist: list[tuple[Node, float]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-thread (positions, scaled-squared lb_sax) candidate lists.
-
-    LB_SAX comes out of ``mindist`` in linear space; it is ε-scaled and
-    squared *once* here, so phase 4's re-checks compare the stored value
-    straight against the live BSF² — no per-batch sqrt or re-scaling.
-    """
-    bsf_squared = state.results.bsf_squared  # Algorithm 13: BSF_k by value
-    num_threads = state.config.num_query_threads
-    counter = itertools.count()
-    counter_lock = threading.Lock()
-    locals_: list[list[tuple[np.ndarray, np.ndarray]]] = [
-        [] for _ in range(num_threads)
-    ]
-    errors: list[BaseException] = []
-
-    def fetch_add() -> int:
-        with counter_lock:
-            return next(counter)
-
-    def cs_worker(thread_id: int) -> None:
-        try:
-            while True:
-                j = fetch_add()
-                if j >= len(lclist):
-                    return
-                leaf, _ = lclist[j]
-                words = state.lsd_words[
-                    leaf.file_position : leaf.file_position + leaf.size
-                ]
-                bounds = state.sax_space.mindist(
-                    state.query_paa, words, state.query.shape[0]
-                )
-                scaled = bounds * state.prune_factor
-                scaled_sq = scaled * scaled
-                mask = scaled_sq < bsf_squared
-                if state.sig_mask is not None:
-                    mask &= state.sig_mask[
-                        leaf.file_position : leaf.file_position + leaf.size
-                    ]
-                if mask.any():
-                    positions = leaf.file_position + np.nonzero(mask)[0]
-                    locals_[thread_id].append((positions, scaled_sq[mask]))
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    _run_workers(
-        cs_worker, num_threads, errors, span_name="query.phase3.worker"
-    )
-
-    merged: list[tuple[np.ndarray, np.ndarray]] = []
-    for chunks in locals_:
-        if chunks:
-            merged.append(
-                (
-                    np.concatenate([c[0] for c in chunks]),
-                    np.concatenate([c[1] for c in chunks]),
-                )
-            )
-        else:
-            merged.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=DISTANCE_DTYPE))
-            )
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# Phase 4: Algorithm 14 (ComputeResults / CRWorker)
-# ---------------------------------------------------------------------------
-
-#: Candidates refined per batch by each CRWorker; adjacent file positions
-#: inside a batch are coalesced into single reads.
-_REFINE_BATCH = 64
-
-
-def _compute_results(
-    state: _SearchState, sclists: list[tuple[np.ndarray, np.ndarray]]
-) -> None:
-    """Each CRWorker refines its own SCList[id] (Algorithm 14)."""
-    errors: list[BaseException] = []
-    profile_lock = threading.Lock()
-
-    def cr_worker(thread_id: int) -> None:
-        try:
-            # bounds arrive ε-scaled and squared from phase 3: each
-            # re-check against the live BSF² is one vector compare.
-            positions, bounds_sq = sclists[thread_id]
-            length = state.query.shape[0]
-            read = 0
-            computed = 0
-            points = 0
-            for start in range(0, positions.shape[0], _REFINE_BATCH):
-                chunk_pos = positions[start : start + _REFINE_BATCH]
-                chunk_lb_sq = bounds_sq[start : start + _REFINE_BATCH]
-                alive = chunk_lb_sq < state.results.bsf_squared
-                if not alive.any():
-                    continue
-                keep = chunk_pos[alive]
-                data = state.lrd.read_positions(keep)
-                read += keep.shape[0]
-                squared, compared = early_abandon_squared(
-                    state.query, data, state.results.bsf_squared
-                )
-                computed += keep.shape[0]
-                points += compared
-                state.results.update_batch_squared(squared, keep)
-            with profile_lock:
-                state.profile.series_accessed += read
-                state.profile.distance_computations += computed
-                state.profile.points_compared += points
-                state.profile.points_total += computed * length
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    _run_workers(
-        cr_worker, len(sclists), errors, span_name="query.phase4.worker"
-    )
-
-
-def _compute_results_from_leaves(
-    state: _SearchState, lclist: list[tuple[Node, float]]
-) -> None:
-    """NoSAX ablation: refine whole candidate leaves with real distances.
-
-    Without iSAX words there is no per-series filter; threads claim
-    leaves (in file order) and compute real distances over each.
-    """
-    counter = itertools.count()
-    counter_lock = threading.Lock()
-    errors: list[BaseException] = []
-    profile_lock = threading.Lock()
-
-    def worker(thread_id: int) -> None:
-        try:
-            length = state.query.shape[0]
-            read = 0
-            computed = 0
-            points = 0
-            while True:
-                with counter_lock:
-                    j = next(counter)
-                if j >= len(lclist):
-                    break
-                leaf, bound = lclist[j]
-                if state.scaled_squared(bound) >= state.results.bsf_squared:
-                    continue
-                data = state.lrd.read_range(leaf.file_position, leaf.size)
-                read += leaf.size
-                squared, compared = early_abandon_squared(
-                    state.query, data, state.results.bsf_squared
-                )
-                computed += leaf.size
-                points += compared
-                positions = leaf.file_position + np.arange(
-                    leaf.size, dtype=np.int64
-                )
-                state.results.update_batch_squared(squared, positions)
-            with profile_lock:
-                state.profile.series_accessed += read
-                state.profile.distance_computations += computed
-                state.profile.points_compared += points
-                state.profile.points_total += computed * length
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    _run_workers(
-        worker,
-        state.config.num_query_threads,
-        errors,
-        span_name="query.phase4.worker",
-    )
-
-
-def _run_workers(
-    target,
-    num_threads: int,
-    errors: list[BaseException],
-    span_name: Optional[str] = None,
-) -> None:
-    """Run ``target(thread_id)`` on N threads (inline when N == 1).
-
-    With ``span_name`` each worker's run is recorded as a trace span
-    parented to the phase span that launched the fan-out — worker
-    threads have no ambient span stack of their own, so the parent is
-    captured here, on the calling thread, and attached explicitly.
-    """
-    parent = obs.current_span()
-
-    def run(thread_id: int) -> None:
-        if span_name is None:
-            target(thread_id)
-        else:
-            with obs.span(span_name, parent=parent, worker=thread_id):
-                target(thread_id)
-
-    if num_threads == 1:
-        run(0)
-    else:
-        threads = [
-            threading.Thread(target=run, args=(i,), daemon=True)
-            for i in range(num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]

@@ -226,6 +226,7 @@ def _merge_pairs(
         profile.cache_misses += p.cache_misses
         profile.time_approx = max(profile.time_approx, p.time_approx)
         profile.time_candidates = max(profile.time_candidates, p.time_candidates)
+        profile.time_screen = max(profile.time_screen, p.time_screen)
         profile.time_refine = max(profile.time_refine, p.time_refine)
         if p.sax_pruning is not None:
             sax_ran = True

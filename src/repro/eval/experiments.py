@@ -480,7 +480,12 @@ def figure12_ablation_query(
     seed: int = 12,
     verbose: bool = True,
 ) -> ExperimentResult:
-    """Figure 12b: query answering for NoSAX, NoPara, NoThresh, Hercules."""
+    """Figure 12b: query answering for NoSAX, NoThresh, Hercules.
+
+    The paper's NoPara variant (single-threaded phases 3-4) has no
+    counterpart: the query engine is single-threaded, with its
+    parallelism in the batch dimension of the kernels.
+    """
     from repro.core import HerculesIndex
 
     from repro.eval.methods import hercules_config
@@ -488,7 +493,6 @@ def figure12_ablation_query(
     variants = {
         "Hercules": {},
         "NoSAX": {"use_sax": False},
-        "NoPara": {"num_query_threads": 1},
         "NoThresh": {"adaptive_thresholds": False},
     }
     result = ExperimentResult(

@@ -23,7 +23,6 @@ def index(corpus, tmp_path_factory):
         num_build_threads=2,
         db_size=256,
         flush_threshold=1,
-        num_query_threads=1,
         l_max=3,
         sax_segments=8,
     )

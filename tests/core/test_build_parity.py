@@ -213,7 +213,7 @@ class TestQueryParity:
             data,
             HerculesConfig(
                 leaf_capacity=32, num_build_threads=1, flush_threshold=1,
-                batched_inserts=False, num_query_threads=1,
+                batched_inserts=False,
             ),
             directory=tmp_path / "ref",
         )
@@ -221,7 +221,7 @@ class TestQueryParity:
             data,
             HerculesConfig(
                 leaf_capacity=32, num_build_threads=4, flush_threshold=2,
-                batched_inserts=True, num_query_threads=1,
+                batched_inserts=True,
             ),
             directory=tmp_path / "fast",
         )

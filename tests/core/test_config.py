@@ -30,7 +30,6 @@ class TestValidation:
             ("eapca_th", -0.1),
             ("eapca_th", 1.5),
             ("sax_th", 2.0),
-            ("num_query_threads", 0),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -49,9 +48,9 @@ class TestValidation:
 
     def test_with_options_returns_modified_copy(self):
         base = HerculesConfig()
-        variant = base.with_options(use_sax=False, num_query_threads=1)
+        variant = base.with_options(use_sax=False, l_max=3)
         assert not variant.use_sax
-        assert variant.num_query_threads == 1
+        assert variant.l_max == 3
         assert base.use_sax  # original untouched
 
     def test_with_options_validates(self):

@@ -151,7 +151,6 @@ class TestEndToEndWithPressure:
             db_size=32,
             buffer_capacity=80,
             flush_threshold=1,
-            num_query_threads=2,
             l_max=3,
             sax_segments=8,
         )

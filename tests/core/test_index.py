@@ -34,7 +34,6 @@ def built_index(corpus, tmp_path_factory):
         num_build_threads=4,
         db_size=128,
         flush_threshold=2,
-        num_query_threads=2,
         l_max=10,
         sax_segments=8,
     )
@@ -118,9 +117,7 @@ class TestExactness:
         base = built_index.knn(query, k=10)
         for overrides in (
             {"use_sax": False},
-            {"num_query_threads": 1},
             {"adaptive_thresholds": False},
-            {"num_query_threads": 1, "use_sax": False},
         ):
             variant = built_index.knn(
                 query, k=10, config=built_index.config.with_options(**overrides)
@@ -183,6 +180,51 @@ class TestPersistence:
                 np.testing.assert_array_equal(a.positions, b.positions)
         finally:
             reopened.close()
+
+    @staticmethod
+    def _rewrite_stored_config(directory, **extra):
+        """Add keys to the HTree settings' stored config, re-manifested."""
+        from repro.storage import htree
+        from repro.storage import manifest as manifest_mod
+
+        path = directory / "htree.bin"
+        root, settings = htree.load_tree(path)
+        settings["config"].update(extra)
+        htree.save_tree(path, root, settings)
+        manifest = manifest_mod.load_manifest(directory)
+        manifest.artifacts[path.name] = manifest_mod.record_artifact(
+            path, htree.FORMAT_VERSION
+        )
+        manifest_mod.save_manifest(directory, manifest)
+
+    def test_open_drops_retired_config_keys(self, corpus, tmp_path):
+        config = HerculesConfig(
+            leaf_capacity=100, num_build_threads=1, flush_threshold=1,
+            sax_segments=8, prefilter=True,
+        )
+        directory = tmp_path / "legacy"
+        query = make_random_walks(1, 64, seed=110)[0]
+        with HerculesIndex.build(corpus, config, directory=directory) as index:
+            expected = index.knn(query, k=3)
+        self._rewrite_stored_config(
+            directory, num_query_threads=4, prefilter_hamming=True
+        )
+        with HerculesIndex.open(directory, verify="full") as index:
+            assert index.config == config
+            answer = index.knn(query, k=3)
+        np.testing.assert_array_equal(answer.distances, expected.distances)
+        np.testing.assert_array_equal(answer.positions, expected.positions)
+
+    def test_open_rejects_other_unknown_config_keys(self, corpus, tmp_path):
+        config = HerculesConfig(
+            leaf_capacity=100, num_build_threads=1, flush_threshold=1,
+            sax_segments=8,
+        )
+        directory = tmp_path / "unknown"
+        HerculesIndex.build(corpus[:300], config, directory=directory).close()
+        self._rewrite_stored_config(directory, no_such_knob=1)
+        with pytest.raises(TypeError, match="no_such_knob"):
+            HerculesIndex.open(directory)
 
     def test_open_missing_directory(self, tmp_path):
         from repro.errors import StorageError

@@ -79,7 +79,6 @@ def test_query_pipeline_is_exact(tmp_path_factory, shape, k):
         flush_threshold=1,
         initial_segments=min(4, length),
         sax_segments=min(8, length),
-        num_query_threads=1,
         l_max=2,
     )
     index = HerculesIndex.build(data, config)
@@ -107,7 +106,6 @@ def test_htree_roundtrip_preserves_query_answers(tmp_path_factory, shape):
         flush_threshold=1,
         initial_segments=min(4, length),
         sax_segments=min(8, length),
-        num_query_threads=1,
         l_max=2,
     )
     index = HerculesIndex.build(data, config, directory=tmp)

@@ -1,4 +1,4 @@
-"""Error propagation from multi-threaded query phases."""
+"""Error propagation from the query phases."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ def index(tmp_path):
         leaf_capacity=40,
         num_build_threads=1,
         flush_threshold=1,
-        num_query_threads=3,
         l_max=2,
         sax_segments=8,
         adaptive_thresholds=False,  # force phases 3-4 to always run
@@ -41,15 +40,24 @@ class TestQueryWorkerErrors:
     def test_phase4_read_error_propagates(self, index, monkeypatch):
         from repro.errors import StorageError
 
-        def broken(positions):
-            raise StorageError("injected read failure")
+        original = index._lrd.read_range
+        calls = []
 
-        # Phase 4 (CRWorkers) is the only consumer of read_positions;
-        # the approximate phase reads whole leaves via read_range.
-        monkeypatch.setattr(index._lrd, "read_positions", broken)
+        def broken(position, count):
+            # l_max=2: the approximate phase reads at most two leaves;
+            # every later read is a phase-4 refinement read.
+            calls.append(position)
+            if len(calls) > 2:
+                raise StorageError("injected read failure")
+            return original(position, count)
+
+        monkeypatch.setattr(index._lrd, "read_range", broken)
         query = make_random_walks(1, 32, seed=292)[0]
         with pytest.raises(StorageError, match="injected read failure"):
             index.knn(query, k=1)
+        calls.clear()
+        with pytest.raises(StorageError, match="injected read failure"):
+            index.knn_batch(query[None, :], k=1)
 
     def test_queries_work_after_a_failed_query(self, index, monkeypatch):
         """A failed query must not poison the index for later ones."""

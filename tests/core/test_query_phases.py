@@ -22,7 +22,6 @@ def index(corpus, tmp_path_factory):
         leaf_capacity=45,
         num_build_threads=1,
         flush_threshold=1,
-        num_query_threads=1,
         l_max=3,
         sax_segments=8,
     )
@@ -177,6 +176,34 @@ class TestPhaseTiming:
             assert answer.profile.time_refine < answer.profile.time_total
 
 
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_phase_times_sum_to_total(self, corpus, tmp_path, prefilter):
+        """Every exact query's four phase timers add up to its total,
+        served alone or inside a batch, with the screen on or off."""
+        config = HerculesConfig(
+            leaf_capacity=45, num_build_threads=1, flush_threshold=1,
+            l_max=3, sax_segments=8, prefilter=True,
+        )
+        queries = make_random_walks(6, 32, seed=206)
+        with HerculesIndex.build(
+            corpus, config, directory=tmp_path / "idx"
+        ) as index:
+            run = config.with_options(prefilter=prefilter)
+            profiles = [index.knn(q, k=3, config=run).profile for q in queries]
+            profiles += [
+                a.profile for a in index.knn_batch(queries, k=3, config=run)
+            ]
+        for profile in profiles:
+            assert profile.time_total == pytest.approx(
+                profile.time_approx
+                + profile.time_candidates
+                + profile.time_screen
+                + profile.time_refine,
+                rel=1e-12,
+            )
+            assert (profile.time_screen > 0) == prefilter
+
+
 class TestEdgeCases:
     def test_k_equal_to_dataset_size(self, tmp_path):
         data = make_random_walks(30, 16, seed=200)
@@ -184,7 +211,6 @@ class TestEdgeCases:
             leaf_capacity=10,
             num_build_threads=1,
             flush_threshold=1,
-            num_query_threads=1,
             sax_segments=8,
             l_max=2,
         )
@@ -206,7 +232,6 @@ class TestEdgeCases:
             leaf_capacity=20,
             num_build_threads=1,
             flush_threshold=1,
-            num_query_threads=1,
             sax_segments=8,
         )
         index = HerculesIndex.build(data, config, directory=tmp_path / "idx")
@@ -221,7 +246,6 @@ class TestEdgeCases:
             leaf_capacity=10,
             num_build_threads=1,
             flush_threshold=1,
-            num_query_threads=1,
             sax_segments=8,
         )
         index = HerculesIndex.build(data, config, directory=tmp_path / "idx")

@@ -101,7 +101,6 @@ class TestIndexLevelAblation:
                 leaf_capacity=60,
                 num_build_threads=1,
                 flush_threshold=1,
-                num_query_threads=1,
                 l_max=3,
                 sax_segments=8,
                 **flags,

@@ -23,7 +23,6 @@ def traced_build(data, tmp_path_factory):
         num_build_threads=3,
         flush_threshold=1,
         num_write_threads=2,
-        num_query_threads=2,
         # A small HBuffer forces flushes so the flush spans appear.
         db_size=50,
         buffer_capacity=200,
@@ -71,12 +70,12 @@ class TestBuildSpans:
 
 
 class TestQuerySpans:
-    def test_four_phases_with_worker_children(self, traced_build, data):
+    def test_four_phase_spans_nest_under_query(self, traced_build, data):
         _, index_dir = traced_build
         index = HerculesIndex.open(index_dir)
         # A tight leaf-visit budget leaves candidates after phase 1, and
         # disabling the adaptive skip-sequential fallback forces them
-        # through phases 3 and 4 with the parallel workers.
+        # through phases 3 and 4.
         config = index.config.with_options(l_max=2, adaptive_thresholds=False)
         queries = make_noise_queries(data, 3, noise_variance=2.0, seed=5)
         trace = obs.Trace(name="query")
@@ -94,11 +93,9 @@ class TestQuerySpans:
         } <= names
         assert all(a.profile.path == "full-four-phase" for a in answers)
 
-        refine = trace.find("query.phase4.refine")
-        workers = trace.find("query.phase4.worker")
-        assert workers, "parallel refine should span its workers"
-        refine_ids = {s.span_id for s in refine}
-        assert all(w.parent_id in refine_ids for w in workers)
+        query_ids = {s.span_id for s in trace.find("query")}
+        for name in ("query.phase1.approx", "query.phase4.refine"):
+            assert all(s.parent_id in query_ids for s in trace.find(name))
 
         for query_span in trace.find("query"):
             assert query_span.attributes["k"] == 5

@@ -34,7 +34,6 @@ def scenario(tmp_path_factory):
         buffer_capacity=512,  # force flushes
         flush_threshold=2,
         num_write_threads=2,
-        num_query_threads=2,
         l_max=4,
         sax_segments=16,
     )
